@@ -70,9 +70,9 @@ StatusOr<Graph> GenPlantedCommunities(
 
 /// Parses the tools' --gen-planted spec ("n=5000,communities=10,
 /// size=16..20,density=0.95,overlap=0.3,edges=12000") into a
-/// PlantedConfig with the given seed. Shared by qcm_mine and qcm_worker
-/// so a cluster job and its single-process reference build the exact same
-/// graph from the same spec string.
+/// PlantedConfig with the given seed. The tools reach it through
+/// LoadGraphSource (graph/graph_source.h), so a cluster job and its
+/// single-process reference build the exact same graph from one spec.
 StatusOr<PlantedConfig> ParsePlantedSpec(const std::string& spec,
                                          uint64_t seed);
 

@@ -2,6 +2,7 @@
 
 #include "graph/csr_snapshot.h"
 #include "net/wire.h"
+#include "util/flags.h"
 #include "util/serde.h"
 
 namespace qcm {
@@ -36,20 +37,6 @@ const char* CachePolicyName(CachePolicy policy) {
 #define QCM_CONFIG_ERROR(msg)                                         \
   Status::InvalidArgument(std::string("engine_config.cc:") +          \
                           std::to_string(__LINE__) + ": " + (msg))
-
-Status ParseCachePolicy(const std::string& name, CachePolicy* policy) {
-  if (name == "lru") {
-    *policy = CachePolicy::kLRU;
-  } else if (name == "clock") {
-    *policy = CachePolicy::kClock;
-  } else if (name == "tinylfu") {
-    *policy = CachePolicy::kTinyLFU;
-  } else {
-    return QCM_CONFIG_ERROR("unknown cache policy: \"" + name +
-                            "\" (expected lru | clock | tinylfu)");
-  }
-  return Status::OK();
-}
 
 Status EngineConfig::Validate() const {
   if (num_machines < 1) {
@@ -175,6 +162,80 @@ Status EngineConfig::Validate() const {
 }
 
 #undef QCM_CONFIG_ERROR
+
+void RegisterEngineFlags(FlagSet* flags, EngineConfig* config) {
+  MiningOptions& mining = config->mining;
+  flags->Int("--threads", &config->threads_per_machine,
+             "mining threads per machine");
+  flags->Double("--gamma", &mining.gamma,
+                "degree threshold gamma, in [0.5, 1]");
+  flags->Int("--min-size", &mining.min_size,
+             "minimum result size tau_size, >= 2");
+  flags->Int("--dense-threshold", &mining.dense_threshold,
+             "task subgraphs with <= N vertices run the word-parallel "
+             "bitset kernels; 0 forces the scalar CSR path (results are "
+             "bit-identical either way)");
+  flags->Int("--tau-split", &config->tau_split,
+             "big-task |ext(S)| threshold");
+  flags->Double("--tau-time", &config->tau_time,
+                "time-delayed decomposition timeout in seconds");
+  flags->Enum("--mode", &config->mode,
+              {{"none", DecomposeMode::kNone},
+               {"size", DecomposeMode::kSizeThreshold},
+               {"time", DecomposeMode::kTimeDelayed}},
+              "task decomposition strategy");
+  flags->Int("--cache-capacity", &config->vertex_cache_capacity,
+             "per-machine vertex-cache entries; 0 disables caching");
+  std::vector<std::pair<std::string, CachePolicy>> policies;
+  for (CachePolicy p :
+       {CachePolicy::kLRU, CachePolicy::kClock, CachePolicy::kTinyLFU}) {
+    policies.emplace_back(CachePolicyName(p), p);
+  }
+  flags->Enum("--cache-policy", &config->cache_policy, std::move(policies),
+              "vertex-cache eviction policy");
+  flags->Int("--pull-batch", &config->max_pull_batch,
+             "max vertex ids per batched pull");
+  flags->Double("--net-latency", &config->net_latency_sec,
+                "modeled delivery delay in seconds of every "
+                "cross-machine message");
+  flags->Int("--net-latency-ticks", &config->net_latency_ticks,
+             "delivery delay in destination service ticks");
+  flags->Bool("--prefetch", &config->spawn_prefetch,
+              "spawn-time pull prefetch: spawned tasks request their 1-hop "
+              "frontier before first schedule (results are bit-identical)");
+  flags->Int("--prefetch-limit", &config->prefetch_limit,
+             "max tasks parked in the prefetch stage per machine");
+  flags->Double("--steal-rtt-ref", &config->steal_rtt_reference_sec,
+                "link RTT in seconds that grants the steal planner one "
+                "extra batch of per-move cap");
+  flags->Int("--steal-batch-factor", &config->steal_max_batch_factor,
+             "hard cap multiplier for latency-scaled steal batches");
+  flags->String("--trace-out", &config->trace_out, "PATH",
+                "record a Chrome trace-event timeline (Perfetto / "
+                "chrome://tracing); off when empty, results bit-identical");
+  flags->Int("--trace-buffer-kb", &config->trace_buffer_kb,
+             "per-thread trace ring size in KiB");
+  flags->Int("--stats-interval-ms", &config->stats_interval_ms,
+             "telemetry sampling cadence; 0 disables");
+}
+
+void RegisterClusterEngineFlags(FlagSet* flags, EngineConfig* config) {
+  flags->Int("--net-coalesce-bytes", &config->net_coalesce_bytes,
+             "per-peer send buffer that flushes as one writev; set with "
+             "--net-linger-usec, or neither (0 = off)");
+  flags->Int("--net-linger-usec", &config->net_linger_usec,
+             "max wait of a parked frame before its buffer flushes");
+  flags->Int("--heartbeat-usec", &config->heartbeat_usec,
+             "worker liveness beacon period; 0 disables");
+  flags->Double("--checkpoint-interval", &config->checkpoint_interval_sec,
+                "seconds between checkpoint-log flushes");
+  flags->Int("--graph-page-size", &config->graph_page_size,
+             "snapshot page size in bytes when the launcher packs; power "
+             "of two >= 4096");
+  flags->Int("--graph-memory-budget", &config->graph_memory_budget,
+             "per-rank resident adjacency bytes; pages beyond it are "
+             "evicted and refault on demand (0 = unbounded)");
+}
 
 void EncodeEngineConfig(const EngineConfig& config, Encoder* enc) {
   enc->PutU32(static_cast<uint32_t>(config.num_machines));

@@ -46,10 +46,8 @@ enum class CachePolicy {
   kTinyLFU,
 };
 
+/// "lru" / "clock" / "tinylfu": also the --cache-policy vocabulary.
 const char* CachePolicyName(CachePolicy policy);
-
-/// Parses "lru" / "clock" / "tinylfu" (the --cache-policy vocabulary).
-Status ParseCachePolicy(const std::string& name, CachePolicy* policy);
 
 /// Engine knobs. Defaults follow the paper's common settings scaled to a
 /// single-host simulation.
@@ -183,7 +181,8 @@ struct EngineConfig {
   /// names a packed .qcsr file: workers mmap it and serve their partition
   /// straight from the mapping instead of re-parsing / re-generating the
   /// full graph per rank (qcm_cluster packs once and fills this in).
-  /// Empty = legacy resident load from the job's input / generator spec.
+  /// Empty = an in-process run over a resident graph; qcm_worker refuses
+  /// an empty path.
   std::string graph_snapshot;
   /// Page size (bytes) qcm_pack stamps into new snapshots and the
   /// residency granularity of the paged store. Power of two, >= 4096.
@@ -203,6 +202,17 @@ struct EngineConfig {
 
 class Encoder;
 class Decoder;
+class FlagSet;
+
+/// Binds the engine and mining flags qcm_mine and qcm_cluster share
+/// (--threads, --gamma, --min-size, --mode, ...) to `config`'s fields.
+/// --help prints each field's value at registration as the flag's
+/// default; range and contradiction checks stay in Validate().
+void RegisterEngineFlags(FlagSet* flags, EngineConfig* config);
+
+/// Binds the process-per-machine knobs only qcm_cluster exposes: send
+/// coalescing, heartbeats, checkpoint cadence and snapshot paging.
+void RegisterClusterEngineFlags(FlagSet* flags, EngineConfig* config);
 
 /// Serializes every engine knob (including the nested MiningOptions) so a
 /// cluster coordinator can ship one run configuration to every worker

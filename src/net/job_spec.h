@@ -1,9 +1,8 @@
 // ClusterJobSpec: everything a worker process needs to run its share of a
 // distributed mining job, shipped as the opaque config blob of the rank-
 // assignment handshake (wire.h kAssign). The graph itself is NOT shipped:
-// workers rebuild it deterministically from the spec (an edge-list path
-// readable by every process, or a seeded synthetic-generator spec) and
-// then keep only their own partition.
+// workers mmap the .qcsr snapshot named by config.graph_snapshot, which
+// the launcher packed from the source recorded here.
 
 #ifndef QCM_NET_JOB_SPEC_H_
 #define QCM_NET_JOB_SPEC_H_
@@ -16,7 +15,8 @@
 namespace qcm {
 
 struct ClusterJobSpec {
-  /// Exactly one of these is non-empty (same contract as qcm_mine).
+  /// The graph source the snapshot was packed from (GraphSource contract:
+  /// exactly one of input / gen_planted is non-empty).
   std::string input;        // SNAP edge-list path
   std::string gen_planted;  // planted-community generator spec
   uint64_t seed = 1;        // generator seed (ignored for --input)

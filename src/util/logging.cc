@@ -50,21 +50,23 @@ LogLevel GetLogLevel() {
   return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
 }
 
+const std::vector<std::pair<std::string, LogLevel>>& LogLevelNames() {
+  static const std::vector<std::pair<std::string, LogLevel>> kNames = {
+      {"debug", LogLevel::kDebug},     {"info", LogLevel::kInfo},
+      {"warning", LogLevel::kWarning}, {"warn", LogLevel::kWarning},
+      {"error", LogLevel::kError},     {"off", LogLevel::kOff},
+  };
+  return kNames;
+}
+
 bool ParseLogLevel(const std::string& name, LogLevel* out) {
-  if (name == "debug") {
-    *out = LogLevel::kDebug;
-  } else if (name == "info") {
-    *out = LogLevel::kInfo;
-  } else if (name == "warning" || name == "warn") {
-    *out = LogLevel::kWarning;
-  } else if (name == "error") {
-    *out = LogLevel::kError;
-  } else if (name == "off") {
-    *out = LogLevel::kOff;
-  } else {
-    return false;
+  for (const auto& [label, level] : LogLevelNames()) {
+    if (label == name) {
+      *out = level;
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 void SetLogContext(int rank, uint32_t epoch) {

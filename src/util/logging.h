@@ -7,6 +7,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace qcm {
 
@@ -29,6 +31,9 @@ LogLevel GetLogLevel();
 /// "off"; case-sensitive). Returns false (and leaves *out untouched) on
 /// anything else.
 bool ParseLogLevel(const std::string& name, LogLevel* out);
+
+/// The spellings ParseLogLevel accepts, for a --log-level flag table.
+const std::vector<std::pair<std::string, LogLevel>>& LogLevelNames();
 
 /// Tags every subsequent log line with this process's cluster identity
 /// ("[I r2 e1 file:line]"). Workers call it once their rank/incarnation

@@ -178,27 +178,6 @@ TEST(ClusterE2ETest, SingleWorkerBudgetedClusterMatchesResident) {
       << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
 }
 
-// The legacy per-rank rebuild path (--no-snapshot) must stay alive and
-// bit-identical as the fallback when no snapshot can be shipped.
-TEST(ClusterE2ETest, LegacyNoSnapshotPathStillMatches) {
-  const RunResult single = RunCommand(
-      BinDir() + "/qcm_mine --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --machines 3 --threads 2");
-  ASSERT_EQ(single.exit_code, 0) << single.output;
-
-  const RunResult cluster = RunCommand(
-      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 3 --threads 2 --no-snapshot");
-  ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
-  EXPECT_EQ(cluster.output.find("packed"), std::string::npos)
-      << cluster.output;
-
-  const std::string single_digest = Digest(single.output);
-  ASSERT_EQ(single_digest.size(), 16u) << single.output;
-  EXPECT_EQ(single_digest, Digest(cluster.output))
-      << "single:\n" << single.output << "\ncluster:\n" << cluster.output;
-}
-
 TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {
   const std::string json_path = ::testing::TempDir() + "/qcm_stats.json";
   const RunResult cluster = RunCommand(
@@ -211,6 +190,32 @@ TEST(ClusterE2ETest, StatsJsonIsEmittedAndMergesRanks) {
   EXPECT_NE(json.find("\"tasks_completed\""), std::string::npos);
   EXPECT_NE(json.find("\"cache_hit_ratio\""), std::string::npos);
   std::remove(json_path.c_str());
+}
+
+// A malformed flag value is a bad invocation: exit 2 naming the flag,
+// before any graph is loaded or any worker spawned -- never a silent run
+// on a wrapped or truncated value.
+TEST(ClusterE2ETest, MalformedFlagValuesExitTwoNamingTheFlag) {
+  struct Case {
+    std::string tool;
+    std::string bad;   // appended after the otherwise valid flags
+    std::string flag;  // must appear in the error
+  };
+  const Case cases[] = {
+      {"qcm_mine", "--min-size -1", "--min-size"},
+      {"qcm_cluster", "--gamma 0.9x", "--gamma"},
+      {"qcm_cluster", "--workers 3x", "--workers"},
+  };
+  for (const Case& c : cases) {
+    const RunResult run = RunCommand(
+        BinDir() + "/" + c.tool + " --gen-planted " + kGraphSpec + " " +
+        kMiningFlags + " --threads 2 " + c.bad);
+    EXPECT_EQ(run.exit_code, 2) << c.tool << " " << c.bad << "\n"
+                                << run.output;
+    EXPECT_NE(run.output.find(c.flag), std::string::npos)
+        << c.tool << " " << c.bad << "\n" << run.output;
+    EXPECT_EQ(Digest(run.output), "") << run.output;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,7 @@
 #!/usr/bin/env bash
-# Out-of-core CSR snapshot bench (ISSUE 10 acceptance): quantify what the
-# launcher-packed .qcsr snapshot buys a real 3-process qcm_cluster run,
-# before vs after, on one planted graph:
+# Out-of-core CSR snapshot bench: what the launcher-packed .qcsr snapshot
+# costs and buys a real 3-process qcm_cluster run on one planted graph:
 #
-#   before       --no-snapshot: every rank text-regenerates the FULL
-#                graph and transiently materializes it before dropping
-#                down to its partition (the legacy bring-up path).
 #   after_mmap   launcher packs once, workers mmap the snapshot with no
 #                adjacency budget (whole partition resident on demand).
 #   after_budget same, plus --graph-memory-budget capped at <= 1/4 of a
@@ -13,10 +9,12 @@
 #                partition LARGER than its adjacency budget, and the run
 #                fails unless the pager reports evictions > 0.
 #
-# Every run's digest must be bit-identical to the 'before' baseline --
-# out-of-core storage is a memory/startup optimization, never a results
-# change. Recorded per mode: end-to-end wall seconds, the slowest rank's
-# graph-ready time, per-rank peak RSS, and the paged-store counters.
+# The mode names match the committed bench/oocsr_before_after.json, whose
+# 'before' row records the per-rank rebuild bring-up that no longer
+# exists. Both runs' digests must be bit-identical -- out-of-core storage
+# is a memory/startup optimization, never a results change. Recorded per
+# mode: end-to-end wall seconds, the slowest rank's graph-ready time,
+# per-rank peak RSS, and the paged-store counters.
 #
 # Usage: tools/bench_oocsr.sh [build-dir] [out.json]
 set -u -o pipefail
@@ -32,8 +30,8 @@ for bin in "$CLUSTER" "$PACK"; do
   fi
 done
 
-# Dense enough that adjacency dwarfs the page budget; small enough that
-# the 'before' per-rank full rebuild still finishes fast in CI.
+# Dense enough that adjacency dwarfs the page budget; small enough to
+# finish fast in CI.
 GRAPH_SPEC="n=20000,communities=40,size=16..24,density=0.9"
 PARAMS="--gamma 0.85 --min-size 12 --workers 3 --threads 2 --seed 1"
 WORKERS=3
@@ -70,9 +68,8 @@ fi
 baseline_digest=""
 rows=""
 
-for mode in before after_mmap after_budget; do
+for mode in after_mmap after_budget; do
   case "$mode" in
-    before)       extra="--no-snapshot" ;;
     after_mmap)   extra="--snapshot $SNAP" ;;
     after_budget) extra="--snapshot $SNAP --graph-page-size $PAGE
                          --graph-memory-budget $BUDGET" ;;
@@ -141,7 +138,7 @@ mkdir -p "$(dirname "$OUT")"
 cat > "$OUT" <<EOF
 {
   "bench": "oocsr_before_after",
-  "description": "Real 3-process qcm_cluster on $GRAPH_SPEC: 'before' = legacy --no-snapshot bring-up (every rank transiently materializes the full graph), 'after_mmap' = launcher packs one .qcsr and workers mmap it, 'after_budget' = same plus a per-rank adjacency budget of $BUDGET bytes (<= 1/4 of a rank's adjacency share), forcing CLOCK page eviction mid-mining. All digests bit-identical to 'before'.",
+  "description": "Real 3-process qcm_cluster on $GRAPH_SPEC: 'after_mmap' = launcher packs one .qcsr and workers mmap it, 'after_budget' = same plus a per-rank adjacency budget of $BUDGET bytes (<= 1/4 of a rank's adjacency share), forcing CLOCK page eviction mid-mining. Both digests bit-identical.",
   "graph_spec": "$GRAPH_SPEC",
   "page_size": $PAGE,
   "memory_budget_bytes": $BUDGET,

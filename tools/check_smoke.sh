@@ -24,6 +24,38 @@ if [[ ! -x "$BIN" ]]; then
   exit 1
 fi
 
+# ---- Command-line surface phase ----------------------------------------
+# Every tool's --help is generated from its flag table and exits 0; a
+# malformed value is a bad invocation that exits 2 naming the flag --
+# never a silent run on a wrapped or truncated number.
+BIN_DIR="$(dirname "$BIN")"
+for probe in "qcm_mine --gamma 0.9x" "qcm_cluster --workers 3x" \
+    "qcm_pack --seed 1x" "qcm_worker --coordinator-port 70000"; do
+  read -r tool flag value <<<"$probe"
+  tool_bin="$BIN_DIR/$tool"
+  [[ "$tool" == qcm_mine ]] && tool_bin="$BIN"
+  if [[ ! -x "$tool_bin" ]]; then
+    echo "check_smoke: NOTE -- $tool_bin not built, skipping its CLI probe"
+    continue
+  fi
+  help_out=$("$tool_bin" --help 2>&1)
+  help_status=$?
+  if [[ $help_status -ne 0 ]] || ! grep -q -- '(default ' <<<"$help_out"; then
+    echo "check_smoke: FAIL -- $tool --help exited $help_status or listed" \
+      "no defaults" >&2
+    exit 1
+  fi
+  bad_out=$("$tool_bin" "$flag" "$value" 2>&1)
+  bad_status=$?
+  if [[ $bad_status -ne 2 ]] ||
+      ! grep -q -- "$flag: invalid value" <<<"$bad_out"; then
+    echo "check_smoke: FAIL -- $tool $flag $value exited $bad_status" \
+      "(want 2, naming $flag): $bad_out" >&2
+    exit 1
+  fi
+done
+echo "check_smoke: OK -- --help exits 0 and malformed values exit 2"
+
 out=$("$BIN" \
   --gen-planted n=2000,communities=5,size=10..14,density=0.95 \
   --gamma 0.85 --min-size 8 --machines 2 --threads 2 --stats "$@" 2>&1)

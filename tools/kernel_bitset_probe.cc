@@ -8,14 +8,12 @@
 // JSON. Unlike bench_micro_kernels it needs no google-benchmark, so CI
 // can always run it.
 //
-// Usage: kernel_bitset_probe [--json PATH] [--target-ms N]
+// Usage: kernel_bitset_probe [--json PATH] [--target-ms F]
 //
 // Exit status: 0 iff every dense/sparse parity check passed.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -25,6 +23,7 @@
 #include "quick/cover_vertex.h"
 #include "quick/mining_context.h"
 #include "quick/recursive_mine.h"
+#include "util/flags.h"
 #include "util/timer.h"
 
 namespace {
@@ -108,18 +107,11 @@ Cell Measure(const char* kernel, const LocalGraph* g, double gamma,
 int main(int argc, char** argv) {
   std::string json_path;
   double target_ms = 30.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--target-ms") == 0 && i + 1 < argc) {
-      target_ms = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: kernel_bitset_probe [--json PATH] "
-                   "[--target-ms N]\n");
-      return 2;
-    }
-  }
+  FlagSet flags("kernel_bitset_probe [flags]");
+  flags.String("--json", &json_path, "PATH", "write the sweep as JSON");
+  flags.Double("--target-ms", &target_ms,
+               "timed-loop budget per kernel and path in milliseconds");
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
 
   const uint32_t sizes[] = {64, 256, 1024, 4096};
   std::vector<Cell> cells;

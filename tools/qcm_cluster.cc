@@ -10,29 +10,13 @@
 // (asserted by tests/cluster_e2e_test.cc and tools/check_smoke.sh), even
 // when a worker is killed mid-run and recovered from its checkpoint.
 //
-// Usage:
-//   qcm_cluster (--input PATH | --gen-planted SPEC) --workers N
-//               [--threads N] [--gamma F] [--min-size N] [--tau-split N]
-//               [--tau-time F] [--mode none|size|time]
-//               [--cache-capacity N] [--cache-policy lru|clock|tinylfu]
-//               [--pull-batch N] [--net-latency F] [--net-latency-ticks N]
-//               [--net-coalesce-bytes N] [--net-linger-usec N]
-//               [--prefetch] [--prefetch-limit N] [--steal-rtt-ref F]
-//               [--steal-batch-factor N] [--dense-threshold N]
-//               [--heartbeat-usec N] [--checkpoint-interval F]
-//               [--checkpoint-dir DIR] [--max-rank-restarts N]
-//               [--seed N] [--output PATH] [--no-filter] [--stats]
-//               [--stats-json PATH] [--worker-bin PATH] [--log-dir DIR]
-//               [--trace-out PATH] [--trace-buffer-kb N]
-//               [--stats-interval-ms N] [--log-level L]
-//               [--snapshot PATH.qcsr] [--no-snapshot]
-//               [--graph-memory-budget BYTES] [--graph-page-size BYTES]
+// Usage (`qcm_cluster --help` lists every flag with its default):
+//   qcm_cluster (--input PATH | --gen-planted SPEC) --workers N [flags]
 //
-// Graph distribution: by default the launcher packs the input into a
-// .qcsr snapshot ONCE (<log-dir>/graph.qcsr) and ships only the path;
-// workers mmap it and fault in just their partition's pages, so no rank
-// ever materializes the full graph. --snapshot reuses a qcm_pack output,
-// --no-snapshot restores the legacy per-rank rebuild, and
+// Graph distribution: the launcher packs the input into a .qcsr snapshot
+// ONCE (<log-dir>/graph.qcsr) and ships only the path; workers mmap it
+// and fault in just their partition's pages, so no rank ever
+// materializes the full graph. --snapshot reuses a qcm_pack output, and
 // --graph-memory-budget caps each rank's resident adjacency bytes
 // (evicted pages refault on demand -- out-of-core mining).
 //
@@ -78,288 +62,20 @@
 #include <vector>
 
 #include "graph/csr_snapshot.h"
-#include "graph/edge_io.h"
-#include "graph/generators.h"
+#include "graph/graph_source.h"
 #include "gthinker/metrics.h"
 #include "net/coordinator.h"
 #include "net/job_spec.h"
 #include "quick/maximality_filter.h"
 #include "util/logging.h"
 #include "util/mem.h"
+#include "util/flags.h"
 #include "util/serde.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace {
 
 using namespace qcm;
-
-struct Args {
-  ClusterJobSpec spec;
-  int workers = 3;
-  std::string output;
-  /// Pre-packed .qcsr to ship to workers (skips the launcher pack step).
-  std::string snapshot;
-  /// Legacy bring-up: every rank re-parses / regenerates the full graph.
-  bool no_snapshot = false;
-  bool no_filter = false;
-  bool stats = false;
-  std::string stats_json;
-  std::string worker_bin;
-  std::string log_dir;
-  std::string checkpoint_dir;
-  int max_rank_restarts = 2;
-  std::string cache_policy = "lru";
-  std::string mode = "time";
-  /// --net-coalesce-bytes given without an explicit --net-linger-usec:
-  /// the linger falls back to the classic ~100 us bound instead of
-  /// tripping the linger-without-coalescing validation.
-  bool linger_defaulted = false;
-};
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: qcm_cluster (--input PATH | --gen-planted SPEC) "
-               "--workers N [--threads N]\n"
-               "                   [mining/engine flags, see file header] "
-               "[--output PATH]\n"
-               "                   [--heartbeat-usec N] "
-               "[--checkpoint-interval F] [--checkpoint-dir DIR]\n"
-               "                   [--max-rank-restarts N] "
-               "[--worker-bin PATH] [--log-dir DIR]\n"
-               "                   [--snapshot PATH.qcsr] [--no-snapshot] "
-               "[--graph-memory-budget BYTES]\n"
-               "                   [--graph-page-size BYTES]\n");
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  EngineConfig& config = args->spec.config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (a == "--input") {
-      if ((v = next("--input")) == nullptr) return false;
-      args->spec.input = v;
-    } else if (a == "--gen-planted") {
-      if ((v = next("--gen-planted")) == nullptr) return false;
-      args->spec.gen_planted = v;
-    } else if (a == "--workers") {
-      if ((v = next("--workers")) == nullptr) return false;
-      args->workers = std::atoi(v);
-    } else if (a == "--threads") {
-      if ((v = next("--threads")) == nullptr) return false;
-      config.threads_per_machine = std::atoi(v);
-    } else if (a == "--gamma") {
-      if ((v = next("--gamma")) == nullptr) return false;
-      config.mining.gamma = std::atof(v);
-    } else if (a == "--min-size") {
-      if ((v = next("--min-size")) == nullptr) return false;
-      config.mining.min_size = static_cast<uint32_t>(std::atoi(v));
-    } else if (a == "--dense-threshold") {
-      if ((v = next("--dense-threshold")) == nullptr) return false;
-      const long long threshold = std::atoll(v);
-      if (threshold < 0) {
-        std::fprintf(stderr,
-                     "--dense-threshold must be >= 0 (0 disables the dense "
-                     "bitset kernels)\n");
-        return false;
-      }
-      config.mining.dense_threshold = threshold;
-    } else if (a == "--tau-split") {
-      if ((v = next("--tau-split")) == nullptr) return false;
-      config.tau_split = static_cast<uint32_t>(std::atoi(v));
-    } else if (a == "--tau-time") {
-      if ((v = next("--tau-time")) == nullptr) return false;
-      config.tau_time = std::atof(v);
-    } else if (a == "--mode") {
-      if ((v = next("--mode")) == nullptr) return false;
-      args->mode = v;
-    } else if (a == "--cache-capacity") {
-      if ((v = next("--cache-capacity")) == nullptr) return false;
-      config.vertex_cache_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--cache-policy") {
-      if ((v = next("--cache-policy")) == nullptr) return false;
-      args->cache_policy = v;
-    } else if (a == "--pull-batch") {
-      if ((v = next("--pull-batch")) == nullptr) return false;
-      config.max_pull_batch = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--net-latency") {
-      if ((v = next("--net-latency")) == nullptr) return false;
-      config.net_latency_sec = std::atof(v);
-      if (config.net_latency_sec < 0) {
-        std::fprintf(stderr, "--net-latency must be >= 0\n");
-        return false;
-      }
-    } else if (a == "--net-latency-ticks") {
-      if ((v = next("--net-latency-ticks")) == nullptr) return false;
-      const long long ticks = std::atoll(v);
-      if (ticks < 0) {
-        // A blind cast would wrap to a near-infinite delay and hang the
-        // cluster; reject loudly instead.
-        std::fprintf(stderr, "--net-latency-ticks must be >= 0\n");
-        return false;
-      }
-      config.net_latency_ticks = static_cast<uint64_t>(ticks);
-    } else if (a == "--net-coalesce-bytes") {
-      if ((v = next("--net-coalesce-bytes")) == nullptr) return false;
-      config.net_coalesce_bytes = std::atoll(v);
-      args->linger_defaulted = config.net_linger_usec == 0;
-    } else if (a == "--net-linger-usec") {
-      if ((v = next("--net-linger-usec")) == nullptr) return false;
-      config.net_linger_usec = std::atoll(v);
-      args->linger_defaulted = false;
-    } else if (a == "--prefetch") {
-      config.spawn_prefetch = true;
-    } else if (a == "--prefetch-limit") {
-      if ((v = next("--prefetch-limit")) == nullptr) return false;
-      const long long limit = std::atoll(v);
-      if (limit < 0) {
-        std::fprintf(stderr, "--prefetch-limit must be >= 0\n");
-        return false;
-      }
-      config.prefetch_limit = static_cast<size_t>(limit);
-    } else if (a == "--steal-rtt-ref") {
-      if ((v = next("--steal-rtt-ref")) == nullptr) return false;
-      config.steal_rtt_reference_sec = std::atof(v);
-    } else if (a == "--steal-batch-factor") {
-      if ((v = next("--steal-batch-factor")) == nullptr) return false;
-      const long long factor = std::atoll(v);
-      if (factor < 1) {
-        std::fprintf(stderr, "--steal-batch-factor must be >= 1\n");
-        return false;
-      }
-      config.steal_max_batch_factor = static_cast<uint64_t>(factor);
-    } else if (a == "--heartbeat-usec") {
-      if ((v = next("--heartbeat-usec")) == nullptr) return false;
-      const long long usec = std::atoll(v);
-      if (usec < 0) {
-        std::fprintf(stderr, "--heartbeat-usec must be >= 0\n");
-        return false;
-      }
-      config.heartbeat_usec = usec;
-    } else if (a == "--checkpoint-interval") {
-      if ((v = next("--checkpoint-interval")) == nullptr) return false;
-      config.checkpoint_interval_sec = std::atof(v);
-      if (config.checkpoint_interval_sec <= 0) {
-        std::fprintf(stderr, "--checkpoint-interval must be > 0\n");
-        return false;
-      }
-    } else if (a == "--checkpoint-dir") {
-      if ((v = next("--checkpoint-dir")) == nullptr) return false;
-      args->checkpoint_dir = v;
-    } else if (a == "--max-rank-restarts") {
-      if ((v = next("--max-rank-restarts")) == nullptr) return false;
-      args->max_rank_restarts = std::atoi(v);
-      if (args->max_rank_restarts < 0) {
-        std::fprintf(stderr, "--max-rank-restarts must be >= 0\n");
-        return false;
-      }
-    } else if (a == "--snapshot") {
-      if ((v = next("--snapshot")) == nullptr) return false;
-      args->snapshot = v;
-    } else if (a == "--no-snapshot") {
-      args->no_snapshot = true;
-    } else if (a == "--graph-memory-budget") {
-      if ((v = next("--graph-memory-budget")) == nullptr) return false;
-      config.graph_memory_budget = std::atoll(v);
-    } else if (a == "--graph-page-size") {
-      if ((v = next("--graph-page-size")) == nullptr) return false;
-      config.graph_page_size = std::atoll(v);
-    } else if (a == "--seed") {
-      if ((v = next("--seed")) == nullptr) return false;
-      args->spec.seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (a == "--output") {
-      if ((v = next("--output")) == nullptr) return false;
-      args->output = v;
-    } else if (a == "--no-filter") {
-      args->no_filter = true;
-    } else if (a == "--stats") {
-      args->stats = true;
-    } else if (a == "--stats-json") {
-      if ((v = next("--stats-json")) == nullptr) return false;
-      args->stats_json = v;
-    } else if (a == "--trace-out") {
-      if ((v = next("--trace-out")) == nullptr) return false;
-      config.trace_out = v;
-    } else if (a == "--trace-buffer-kb") {
-      if ((v = next("--trace-buffer-kb")) == nullptr) return false;
-      config.trace_buffer_kb = std::atoll(v);
-    } else if (a == "--stats-interval-ms") {
-      if ((v = next("--stats-interval-ms")) == nullptr) return false;
-      config.stats_interval_ms = std::atoll(v);
-    } else if (a == "--log-level") {
-      if ((v = next("--log-level")) == nullptr) return false;
-      LogLevel level;
-      if (!ParseLogLevel(v, &level)) {
-        std::fprintf(stderr, "unknown --log-level %s\n", v);
-        return false;
-      }
-      SetLogLevel(level);
-    } else if (a == "--worker-bin") {
-      if ((v = next("--worker-bin")) == nullptr) return false;
-      args->worker_bin = v;
-    } else if (a == "--log-dir") {
-      if ((v = next("--log-dir")) == nullptr) return false;
-      args->log_dir = v;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (args->spec.input.empty() == args->spec.gen_planted.empty()) {
-    std::fprintf(stderr,
-                 "exactly one of --input / --gen-planted is required\n");
-    return false;
-  }
-  if (args->workers < 1 || args->workers > 64) {
-    std::fprintf(stderr, "--workers must be in [1, 64]\n");
-    return false;
-  }
-  Status policy = ParseCachePolicy(args->cache_policy,
-                                   &config.cache_policy);
-  if (!policy.ok()) {
-    std::fprintf(stderr, "--cache-policy: %s\n", policy.ToString().c_str());
-    return false;
-  }
-  if (args->linger_defaulted && config.net_coalesce_bytes > 0) {
-    config.net_linger_usec = 100;
-  }
-  if (!args->snapshot.empty() && args->no_snapshot) {
-    std::fprintf(stderr, "--snapshot and --no-snapshot are contradictory\n");
-    return false;
-  }
-  if (args->no_snapshot && config.graph_memory_budget > 0) {
-    std::fprintf(stderr,
-                 "--graph-memory-budget needs a snapshot-backed run; drop "
-                 "--no-snapshot\n");
-    return false;
-  }
-  // NOTE: config.Validate() runs in main() AFTER the launcher pack step
-  // fills in config.graph_snapshot -- validating here would flag the
-  // budget-without-snapshot contradiction on every budgeted run.
-  if (args->mode == "none") {
-    config.mode = DecomposeMode::kNone;
-  } else if (args->mode == "size") {
-    config.mode = DecomposeMode::kSizeThreshold;
-  } else if (args->mode == "time") {
-    config.mode = DecomposeMode::kTimeDelayed;
-  } else {
-    std::fprintf(stderr, "unknown --mode %s\n", args->mode.c_str());
-    return false;
-  }
-  config.num_machines = args->workers;
-  return true;
-}
 
 /// Default worker binary: qcm_worker next to this executable.
 std::string DefaultWorkerBin() {
@@ -414,19 +130,73 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 2;
+  GraphSource source;
+  ClusterJobSpec spec;
+  EngineConfig& config = spec.config;
+  config.num_machines = 3;
+  std::string snapshot;
+  std::string output;
+  bool no_filter = false;
+  bool stats = false;
+  std::string stats_json_path;
+  std::string worker_bin;
+  std::string log_dir;
+  int max_rank_restarts = 2;
+  LogLevel log_level = GetLogLevel();
+
+  FlagSet flags(
+      "qcm_cluster (--input PATH | --gen-planted SPEC) --workers N [flags]");
+  RegisterGraphSourceFlags(&flags, &source);
+  flags.Int("--workers", &config.num_machines,
+            "worker processes (one machine each), at most 64");
+  RegisterEngineFlags(&flags, &config);
+  RegisterClusterEngineFlags(&flags, &config);
+  flags.String("--snapshot", &snapshot, "PATH.qcsr",
+               "ship this qcm_pack snapshot instead of packing the input "
+               "into <log-dir>/graph.qcsr");
+  flags.String("--checkpoint-dir", &config.checkpoint_dir, "DIR",
+               "checkpoint root shared by every rank (empty = a temp dir "
+               "removed on success)");
+  flags.Int("--max-rank-restarts", &max_rank_restarts,
+            "relaunches per rank before the run fails");
+  flags.String("--output", &output, "PATH",
+               "write one result per line, sets sorted lexicographically");
+  flags.Bool("--no-filter", &no_filter,
+             "report raw candidates (skip the maximality filter)");
+  flags.Bool("--stats", &stats, "print cluster and graph-paging statistics");
+  flags.String("--stats-json", &stats_json_path, "PATH",
+               "write per-rank + merged EngineReports and the recovery story "
+               "as JSON (\"-\" = stdout)");
+  flags.String("--worker-bin", &worker_bin, "PATH",
+               "qcm_worker binary (empty = the one next to qcm_cluster)");
+  flags.String("--log-dir", &log_dir, "DIR",
+               "worker logs and the packed snapshot (empty = a fresh temp "
+               "dir)");
+  flags.Enum("--log-level", &log_level, LogLevelNames(),
+             "launcher log threshold; workers inherit QCM_LOG_LEVEL");
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
+  if (!source.HasExactlyOne()) {
+    return flags.UsageError(
+        "exactly one of --input / --gen-planted is required");
   }
-  const std::string worker_bin =
-      args.worker_bin.empty() ? DefaultWorkerBin() : args.worker_bin;
+  if (config.num_machines > 64) {
+    return flags.UsageError("--workers must be at most 64");
+  }
+  if (max_rank_restarts < 0) {
+    return flags.UsageError("--max-rank-restarts must be >= 0");
+  }
+  SetLogLevel(log_level);
+  spec.input = source.input;
+  spec.gen_planted = source.gen_planted;
+  spec.seed = source.seed;
+  const int num_workers = config.num_machines;
+
+  if (worker_bin.empty()) worker_bin = DefaultWorkerBin();
   if (::access(worker_bin.c_str(), X_OK) != 0) {
     std::fprintf(stderr, "worker binary not executable: %s\n",
                  worker_bin.c_str());
     return 2;
   }
-  std::string log_dir = args.log_dir;
   if (log_dir.empty()) {
     char templ[] = "/tmp/qcm_cluster_XXXXXX";
     char* dir = ::mkdtemp(templ);
@@ -442,72 +212,32 @@ int main(int argc, char** argv) {
   // Pack the graph ONCE in the launcher and ship only the snapshot path:
   // workers mmap <log-dir>/graph.qcsr instead of each re-parsing /
   // regenerating and transiently materializing the full graph.
-  // --snapshot reuses a pre-packed file; --no-snapshot keeps the legacy
-  // per-rank rebuild path alive as a fallback.
-  EngineConfig& config = args.spec.config;
-  if (!args.no_snapshot) {
-    if (!args.snapshot.empty()) {
-      config.graph_snapshot = args.snapshot;
-    } else {
-      WallTimer pack_timer;
-      Graph full;
-      if (!args.spec.input.empty()) {
-        auto loaded = LoadEdgeList(args.spec.input);
-        if (!loaded.ok()) {
-          std::fprintf(stderr, "graph load failed: %s\n",
-                       loaded.status().ToString().c_str());
-          return 1;
-        }
-        full = std::move(loaded->graph);
-        CsrWriteOptions opts;
-        opts.page_size = static_cast<uint32_t>(config.graph_page_size);
-        Status packed = WriteCsrSnapshot(full, loaded->original_ids,
-                                         log_dir + "/graph.qcsr", opts);
-        if (!packed.ok()) {
-          std::fprintf(stderr, "snapshot pack failed: %s\n",
-                       packed.ToString().c_str());
-          return 1;
-        }
-      } else {
-        auto parsed = ParsePlantedSpec(args.spec.gen_planted, args.spec.seed);
-        if (!parsed.ok()) {
-          std::fprintf(stderr, "bad planted spec: %s\n",
-                       parsed.status().ToString().c_str());
-          return 1;
-        }
-        auto generated = GenPlantedCommunities(parsed.value());
-        if (!generated.ok()) {
-          std::fprintf(stderr, "graph generation failed: %s\n",
-                       generated.status().ToString().c_str());
-          return 1;
-        }
-        full = std::move(generated).value();
-        CsrWriteOptions opts;
-        opts.page_size = static_cast<uint32_t>(config.graph_page_size);
-        opts.build_seed = args.spec.seed;
-        Status packed = WriteCsrSnapshot(full, {}, log_dir + "/graph.qcsr",
-                                         opts);
-        if (!packed.ok()) {
-          std::fprintf(stderr, "snapshot pack failed: %s\n",
-                       packed.ToString().c_str());
-          return 1;
-        }
-      }
-      config.graph_snapshot = log_dir + "/graph.qcsr";
-      std::fprintf(stderr,
-                   "qcm_cluster: packed %s (%u vertices, %llu edges) in "
-                   "%.3f s\n",
-                   config.graph_snapshot.c_str(), full.NumVertices(),
-                   static_cast<unsigned long long>(full.NumEdges()),
-                   pack_timer.Seconds());
-      // `full` is dropped here -- the launcher, like the workers, does
-      // not hold a resident graph during the run.
+  // --snapshot reuses a pre-packed file.
+  if (!snapshot.empty()) {
+    config.graph_snapshot = snapshot;
+  } else {
+    config.graph_snapshot = log_dir + "/graph.qcsr";
+    auto packed =
+        PackGraphSource(source, config.graph_snapshot,
+                        static_cast<uint32_t>(config.graph_page_size));
+    if (!packed.ok()) {
+      std::fprintf(stderr, "snapshot pack failed: %s\n",
+                   packed.status().ToString().c_str());
+      return ExitCodeFor(packed.status());
     }
-    // Early, launcher-side sanity check (metadata checksums only) so a
-    // bad --snapshot path fails before N workers are forked. The file's
-    // actual page size wins over the flag: a pre-packed --snapshot may
-    // have been built with a different --page-size, and the budget
-    // validation below must check against what the workers will map.
+    std::fprintf(stderr,
+                 "qcm_cluster: packed %s (%u vertices, %llu edges) in "
+                 "%.3f s\n",
+                 config.graph_snapshot.c_str(), packed->num_vertices,
+                 static_cast<unsigned long long>(packed->num_edges),
+                 packed->load_seconds + packed->pack_seconds);
+  }
+  // Early, launcher-side sanity check (metadata checksums only) so a bad
+  // --snapshot path fails before N workers are forked. The file's actual
+  // page size wins over the flag: a pre-packed --snapshot may have been
+  // built with a different --page-size, and the budget validation below
+  // must check against what the workers will map.
+  {
     auto snap = CsrSnapshot::Open(config.graph_snapshot);
     if (!snap.ok()) {
       std::fprintf(stderr, "snapshot open failed: %s\n",
@@ -516,66 +246,67 @@ int main(int argc, char** argv) {
     }
     config.graph_page_size = (*snap)->page_size();
   }
-  // Surface contradictory settings with the validator's file:line message
-  // instead of shipping them to every worker first. Runs after the pack
-  // step so graph_snapshot / graph_memory_budget are seen together.
-  if (Status valid = config.Validate(); !valid.ok()) {
-    std::fprintf(stderr, "invalid configuration: %s\n",
-                 valid.ToString().c_str());
-    return 2;
-  }
 
   // Checkpoint root shared by every rank (each keeps rank<R>/log under
   // it). A launcher-owned temp dir is removed on success; a caller-
   // provided one is left alone.
-  std::string ckpt_dir = args.checkpoint_dir;
-  bool owns_ckpt_dir = false;
-  if (ckpt_dir.empty()) {
+  const bool owns_ckpt_dir = config.checkpoint_dir.empty();
+  if (owns_ckpt_dir) {
     char templ[] = "/tmp/qcm_ckpt_XXXXXX";
     char* dir = ::mkdtemp(templ);
     if (dir == nullptr) {
       std::fprintf(stderr, "cannot create checkpoint directory\n");
       return 1;
     }
-    ckpt_dir = dir;
-    owns_ckpt_dir = true;
+    config.checkpoint_dir = dir;
   } else {
-    ::mkdir(ckpt_dir.c_str(), 0755);
+    ::mkdir(config.checkpoint_dir.c_str(), 0755);
   }
-  args.spec.config.checkpoint_dir = ckpt_dir;
+  const std::string ckpt_dir = config.checkpoint_dir;
+  // Surface contradictory settings with the validator's file:line message
+  // instead of shipping them to every worker first. Runs once the pack
+  // step and the checkpoint root have filled in graph_snapshot and
+  // checkpoint_dir, so the checks that pair them with their knobs fire.
+  if (Status valid = config.Validate(); !valid.ok()) {
+    if (owns_ckpt_dir) {
+      std::error_code ec;
+      std::filesystem::remove_all(ckpt_dir, ec);
+    }
+    return flags.UsageError("invalid configuration: " + valid.ToString());
+  }
 
   // Launcher-side tracing must be live before the coordinator runs so
   // recovery spans (rank_declared_dead, recover_*) land in a ring. The
   // workers start their own rings from the job spec.
-  const std::string trace_out = args.spec.config.trace_out;
+  const std::string trace_out = config.trace_out;
   if (!trace_out.empty()) {
-    trace::Start(static_cast<size_t>(args.spec.config.trace_buffer_kb));
+    trace::Start(static_cast<size_t>(config.trace_buffer_kb));
     trace::SetThreadName("launcher");
   }
 
   // Bind the control-plane listener before spawning anyone.
   CoordinatorConfig coord_config;
-  coord_config.world_size = args.workers;
-  coord_config.config_blob = EncodeJobSpec(args.spec);
+  coord_config.world_size = num_workers;
+  coord_config.config_blob = EncodeJobSpec(spec);
   coord_config.steal_period_sec =
-      args.spec.config.enable_stealing && args.workers >= 2
-          ? args.spec.config.steal_period_sec
+      config.enable_stealing && num_workers >= 2
+          ? config.steal_period_sec
           : 0.0;
-  coord_config.steal_batch_cap = args.spec.config.batch_size;
+  coord_config.steal_batch_cap = config.batch_size;
   coord_config.steal_rtt_reference_sec =
-      args.spec.config.steal_rtt_reference_sec;
+      config.steal_rtt_reference_sec;
   coord_config.steal_max_batch_factor =
-      args.spec.config.steal_max_batch_factor;
-  coord_config.max_rank_restarts = args.max_rank_restarts;
+      config.steal_max_batch_factor;
+  coord_config.max_rank_restarts = max_rank_restarts;
   // Liveness deadline: many heartbeat periods of slack (slow CI, TSan),
   // but never so long that a hung rank stalls the run indefinitely.
   // Child-exit detection (the watchdog below) catches clean crashes far
   // faster; the deadline is the backstop for wedged-but-alive processes.
   coord_config.heartbeat_deadline_sec =
-      args.spec.config.heartbeat_usec > 0
+      config.heartbeat_usec > 0
           ? std::max(1.0, 50.0 * 1e-6 *
                               static_cast<double>(
-                                  args.spec.config.heartbeat_usec))
+                                  config.heartbeat_usec))
           : 0.0;
   auto listening = Coordinator::Listen(std::move(coord_config));
   if (!listening.ok()) {
@@ -587,19 +318,19 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "qcm_cluster: coordinator on 127.0.0.1:%u, spawning %d "
                "workers (logs in %s, checkpoints in %s)\n",
-               coordinator->port(), args.workers, log_dir.c_str(),
+               coordinator->port(), num_workers, log_dir.c_str(),
                ckpt_dir.c_str());
 
   // Worker process table, shared between the main thread, the child
   // watchdog, the recovery callbacks, and the fault-injection hook.
   const std::string port_str = std::to_string(coordinator->port());
-  std::vector<WorkerProcess> workers(args.workers);
+  std::vector<WorkerProcess> workers(num_workers);
   // The coordinator assigns ranks in CONNECT order, which need not match
   // the spawn order this table is indexed by. rank_slot[r] maps rank r to
   // its process-table slot; filled from the coordinator's rank->pid map
   // (kHello carries the pid) once the handshake completes. Guarded by
   // workers_mu.
-  std::vector<int> rank_slot(args.workers, -1);
+  std::vector<int> rank_slot(num_workers, -1);
   std::mutex workers_mu;
 
   // Forks one worker for `rank`; returns false on fork failure. The
@@ -631,7 +362,7 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  for (int i = 0; i < args.workers; ++i) {
+  for (int i = 0; i < num_workers; ++i) {
     if (!spawn_worker(i)) {
       KillAll(&workers);
       return 1;
@@ -686,8 +417,8 @@ int main(int argc, char** argv) {
   // event lines ("ph":"C", pid = rank) for the merged timeline. The
   // callback runs on per-rank receiver threads.
   std::mutex stats_mu;
-  std::vector<WireStatsSample> latest_stats(args.workers);
-  std::vector<bool> stats_seen(args.workers, false);
+  std::vector<WireStatsSample> latest_stats(num_workers);
+  std::vector<bool> stats_seen(num_workers, false);
   std::vector<std::string> stats_events;
   coordinator->SetStatsCallback(
       [&](int rank, const WireStatsSample& sample) {
@@ -765,7 +496,7 @@ int main(int argc, char** argv) {
             int rank = -1;
             {
               std::lock_guard<std::mutex> lock(workers_mu);
-              for (int r = 0; r < args.workers; ++r) {
+              for (int r = 0; r < num_workers; ++r) {
                 if (rank_slot[r] == static_cast<int>(i)) rank = r;
               }
             }
@@ -785,8 +516,9 @@ int main(int argc, char** argv) {
   // verifiably holds pending work, so recovery happens mid-mining.
   std::thread killer;
   if (const char* kill_rank_env = std::getenv("QCM_SMOKE_KILL_RANK")) {
-    const int kill_rank = std::atoi(kill_rank_env);
-    if (kill_rank >= 0 && kill_rank < args.workers) {
+    int kill_rank = -1;
+    if (ParseNumber(kill_rank_env, &kill_rank) && kill_rank >= 0 &&
+        kill_rank < num_workers) {
       killer = std::thread([&, kill_rank] {
         while (!run_done.load()) {
           WireRankStatus status;
@@ -815,8 +547,8 @@ int main(int argc, char** argv) {
       });
     } else {
       std::fprintf(stderr,
-                   "qcm_cluster: ignoring QCM_SMOKE_KILL_RANK=%s (out of "
-                   "range)\n",
+                   "qcm_cluster: ignoring QCM_SMOKE_KILL_RANK=%s (not a "
+                   "rank)\n",
                    kill_rank_env);
     }
   }
@@ -824,10 +556,10 @@ int main(int argc, char** argv) {
   // Live one-line ticker: a cross-rank rollup of the latest kStats
   // samples, printed at the sampling cadence once the first sample lands.
   std::thread ticker;
-  if (args.spec.config.stats_interval_ms > 0) {
+  if (config.stats_interval_ms > 0) {
     ticker = std::thread([&] {
       const int64_t interval_ms =
-          std::max<int64_t>(args.spec.config.stats_interval_ms, 250);
+          std::max<int64_t>(config.stats_interval_ms, 250);
       int64_t slept_ms = 0;
       while (!run_done.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -839,7 +571,7 @@ int main(int argc, char** argv) {
         int seen = 0;
         {
           std::lock_guard<std::mutex> lock(stats_mu);
-          for (int r = 0; r < args.workers; ++r) {
+          for (int r = 0; r < num_workers; ++r) {
             if (!stats_seen[r]) continue;
             ++seen;
             const WireStatsSample& s = latest_stats[r];
@@ -862,7 +594,7 @@ int main(int argc, char** argv) {
                      "telemetry: %d/%d ranks | pending %llu | big-queue "
                      "%llu | busy %llu compers | in-flight %llu B | "
                      "cache-hit %.1f%% | %llu tasks done\n",
-                     seen, args.workers, pending, queue, busy, inflight,
+                     seen, num_workers, pending, queue, busy, inflight,
                      hit_pct, tasks);
       }
     });
@@ -875,9 +607,9 @@ int main(int argc, char** argv) {
     // order decides) BEFORE releasing the watchdog/killer onto the
     // recovery path.
     std::lock_guard<std::mutex> lock(workers_mu);
-    for (int r = 0; r < args.workers; ++r) {
+    for (int r = 0; r < num_workers; ++r) {
       const uint64_t pid = coordinator->RankPid(r);
-      for (int s = 0; s < args.workers; ++s) {
+      for (int s = 0; s < num_workers; ++s) {
         if (static_cast<uint64_t>(workers[s].pid) == pid) rank_slot[r] = s;
       }
     }
@@ -903,7 +635,7 @@ int main(int argc, char** argv) {
   // the run (superseded incarnations died by design and were already
   // reaped by the watchdog or the kill callback).
   bool workers_ok = true;
-  for (int i = 0; i < args.workers; ++i) {
+  for (int i = 0; i < num_workers; ++i) {
     WorkerProcess& w = workers[i];
     if (!w.reaped) {
       if (!run_status.ok()) ::kill(w.pid, SIGKILL);
@@ -948,26 +680,26 @@ int main(int argc, char** argv) {
   const size_t raw_candidates = merged.results.size();
   size_t duplicates_suppressed = 0;
   std::vector<VertexSet> results =
-      args.no_filter
+      no_filter
           ? std::move(merged.results)
           : FilterMaximal(std::move(merged.results), &duplicates_suppressed);
 
   std::fprintf(stderr, "%zu %s quasi-cliques in %.3f s\n", results.size(),
-               args.no_filter ? "candidate" : "maximal",
+               no_filter ? "candidate" : "maximal",
                merged.wall_seconds);
   // Canonical order + digest + output file, shared with qcm_mine so the
   // digest-parity gate compares one implementation against itself.
-  auto digest = EmitCanonicalResults(&results, args.output);
+  auto digest = EmitCanonicalResults(&results, output);
   if (!digest.ok()) {
     std::fprintf(stderr, "%s\n", digest.status().ToString().c_str());
     return 1;
   }
-  if (args.stats) {
+  if (stats) {
     std::fprintf(
         stderr,
         "cluster: %d workers, %llu tasks, %llu stolen (%llu steal "
         "commands), %llu pulled vertices, %llu raw candidates\n",
-        args.workers,
+        num_workers,
         static_cast<unsigned long long>(merged.counters.tasks_completed),
         static_cast<unsigned long long>(merged.counters.stolen_tasks),
         static_cast<unsigned long long>(steal_commands),
@@ -1007,7 +739,7 @@ int main(int argc, char** argv) {
   // rank-naming metadata into ONE Perfetto-loadable timeline.
   if (!trace_out.empty()) {
     std::vector<std::string> fragments;
-    for (int r = 0; r < args.workers; ++r) {
+    for (int r = 0; r < num_workers; ++r) {
       fragments.push_back(trace_out + ".rank" + std::to_string(r) +
                           ".jsonl");
     }
@@ -1016,7 +748,7 @@ int main(int argc, char** argv) {
       std::lock_guard<std::mutex> lock(stats_mu);
       extra = std::move(stats_events);
     }
-    const int launcher_pid = args.workers;
+    const int launcher_pid = num_workers;
     const std::string drained = trace::DrainJsonLines(launcher_pid);
     for (size_t start = 0; start < drained.size();) {
       size_t end = drained.find('\n', start);
@@ -1024,9 +756,9 @@ int main(int argc, char** argv) {
       if (end > start) extra.push_back(drained.substr(start, end - start));
       start = end + 1;
     }
-    for (int r = 0; r <= args.workers; ++r) {
+    for (int r = 0; r <= num_workers; ++r) {
       const std::string label =
-          r == args.workers ? "launcher" : "rank" + std::to_string(r);
+          r == num_workers ? "launcher" : "rank" + std::to_string(r);
       extra.push_back(
           "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":" +
           std::to_string(r) + ",\"tid\":0,\"args\":{\"name\":\"" + label +
@@ -1038,7 +770,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "trace: %s (%d rank fragments merged, %llu launcher "
                    "records dropped)\n",
-                   trace_out.c_str(), args.workers,
+                   trace_out.c_str(), num_workers,
                    static_cast<unsigned long long>(trace::DroppedRecords()));
     } else {
       std::fprintf(stderr, "trace merge failed: %s\n",
@@ -1046,7 +778,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.stats_json.empty()) {
+  if (!stats_json_path.empty()) {
     // One JSON object per rank plus the merged totals and the recovery
     // story, so CI can chart per-rank balance and fault-tolerance
     // overhead without re-deriving them.
@@ -1077,12 +809,12 @@ int main(int argc, char** argv) {
               "}";
     }
     json += "]\n  }\n}\n";
-    FILE* f = args.stats_json == "-"
+    FILE* f = stats_json_path == "-"
                   ? stdout
-                  : std::fopen(args.stats_json.c_str(), "w");
+                  : std::fopen(stats_json_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open %s for writing\n",
-                   args.stats_json.c_str());
+                   stats_json_path.c_str());
       return 1;
     }
     std::fputs(json.c_str(), f);

@@ -2,9 +2,9 @@
 //
 // Spawned by qcm_cluster (one process per machine), it connects to the
 // coordinator, receives its rank and the job spec over the wire
-// handshake, rebuilds the input graph deterministically, keeps ONLY its
-// own hash partition (plus replicated degree metadata) in its
-// VertexTable, and runs the G-thinker engine over the TCP-backed
+// handshake, mmaps the launcher-packed .qcsr snapshot the spec names,
+// serves ONLY its own hash partition (plus replicated degree metadata)
+// from its VertexTable, and runs the G-thinker engine over the TCP-backed
 // CommFabric: vertex pulls and stolen big-task batches are the same typed
 // messages as in simulated mode, but they cross process boundaries as
 // length-prefixed kData frames. Termination arrives from the
@@ -13,11 +13,9 @@
 //
 // Usage (normally via qcm_cluster):
 //   qcm_worker --coordinator-port P [--coordinator-host H]
-//              [--stats-json PATH] [--dense-threshold N]
 //
-// --dense-threshold overrides the job spec's mining.dense_threshold on
-// this rank only -- safe because the dense and sparse kernels emit
-// bit-identical results, so a mixed-mode cluster still digests clean.
+// Everything else -- the log level included (QCM_LOG_LEVEL) -- comes from
+// the launcher: the job spec over the wire, the environment via exec.
 //
 // Exit status: 0 only for a clean run (connected, mined, reported);
 // anything else is a loud failure the launcher must surface.
@@ -29,17 +27,15 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "graph/csr_snapshot.h"
-#include "graph/edge_io.h"
-#include "graph/generators.h"
 #include "gthinker/engine.h"
 #include "mining/qc_app.h"
 #include "net/job_spec.h"
 #include "net/tcp_transport.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/mem.h"
 #include "util/serde.h"
@@ -59,6 +55,13 @@ int Fail(TcpTransport* transport, const std::string& message) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string host = "127.0.0.1";
+  uint16_t port = 0;
+  FlagSet flags("qcm_worker --coordinator-port P [flags]");
+  flags.Int("--coordinator-port", &port, "coordinator TCP port (required)");
+  flags.String("--coordinator-host", &host, "H", "coordinator address");
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
+  if (port == 0) return flags.UsageError("--coordinator-port is required");
 #ifdef __linux__
   // Never outlive the launcher: if qcm_cluster dies (crash, ^C, CI
   // timeout kill), the kernel SIGKILLs this worker instead of leaving an
@@ -71,50 +74,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 #endif
-  std::string host = "127.0.0.1";
-  int port = 0;
-  std::string stats_json;
-  long long dense_threshold_override = -1;  // -1 = keep the job spec value
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--coordinator-port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (a == "--coordinator-host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (a == "--stats-json" && i + 1 < argc) {
-      stats_json = argv[++i];
-    } else if (a == "--log-level" && i + 1 < argc) {
-      LogLevel level;
-      if (!ParseLogLevel(argv[++i], &level)) {
-        std::fprintf(stderr, "qcm_worker: unknown --log-level %s\n",
-                     argv[i]);
-        return 2;
-      }
-      SetLogLevel(level);
-    } else if (a == "--dense-threshold" && i + 1 < argc) {
-      dense_threshold_override = std::atoll(argv[++i]);
-      if (dense_threshold_override < 0) {
-        std::fprintf(stderr,
-                     "qcm_worker: --dense-threshold must be >= 0 (0 "
-                     "disables the dense bitset kernels)\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: qcm_worker --coordinator-port P "
-                   "[--coordinator-host H] [--stats-json PATH] "
-                   "[--log-level L] [--dense-threshold N]\n");
-      return 2;
-    }
-  }
-  if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "qcm_worker: --coordinator-port is required\n");
-    return 2;
-  }
 
   // Handshake: rank assignment + job spec + peer mesh.
-  auto connected =
-      TcpTransport::ConnectWorker(host, static_cast<uint16_t>(port));
+  auto connected = TcpTransport::ConnectWorker(host, port);
   if (!connected.ok()) {
     return Fail(nullptr,
                 "cluster handshake failed: " +
@@ -133,9 +95,6 @@ int main(int argc, char** argv) {
   if (spec.config.num_machines != transport->world_size()) {
     return Fail(transport.get(), "job spec world size mismatch");
   }
-  if (dense_threshold_override >= 0) {
-    spec.config.mining.dense_threshold = dense_threshold_override;
-  }
   SetLogContext(rank, transport->epoch());
   // Tracing rides the job spec: every rank writes its own fragment file
   // beside the launcher's --trace-out path; qcm_cluster merges them into
@@ -150,73 +109,38 @@ int main(int argc, char** argv) {
     trace::SetThreadName("worker_main");
   }
 
-  // Graph load. Preferred path: mmap the launcher-packed .qcsr snapshot
-  // (metadata checksums verified, adjacency pages faulted lazily) --
-  // startup never materializes the full graph in this process. Legacy
-  // fallback: rebuild deterministically from the edge list / planted
-  // spec, then keep only this rank's partition.
-  std::unique_ptr<VertexTable> table;
-  WallTimer graph_timer;
-  if (!spec.config.graph_snapshot.empty()) {
-    auto snap = CsrSnapshot::Open(spec.config.graph_snapshot);
-    if (!snap.ok()) {
-      return Fail(transport.get(),
-                  "snapshot open failed: " + snap.status().ToString());
-    }
-    table = std::make_unique<VertexTable>(
-        std::move(snap).value(), transport->world_size(), rank,
-        static_cast<uint64_t>(spec.config.graph_memory_budget));
-    const PagedAdjacencyStore* store = table->paged_store();
-    std::fprintf(
-        stderr,
-        "qcm_worker rank %d/%d epoch %u: snapshot %s, %u vertices "
-        "total, %zu owned, mapped %s vs resident %s%s%s\n",
-        rank, transport->world_size(), transport->epoch(),
-        spec.config.graph_snapshot.c_str(), table->NumVertices(),
-        table->OwnedVertices(rank).size(),
-        HumanBytes(table->snapshot()->MappedBytes()).c_str(),
-        HumanBytes(CurrentRssBytes()).c_str(),
-        store != nullptr && store->paging_enabled()
-            ? (", adjacency budget " + HumanBytes(store->budget_bytes()))
-                  .c_str()
-            : "",
-        transport->epoch() > 0 ? " (replacement; replaying checkpoint)"
-                               : "");
-  } else {
-    Graph full;
-    if (!spec.input.empty()) {
-      auto loaded = LoadEdgeList(spec.input);
-      if (!loaded.ok()) {
-        return Fail(transport.get(),
-                    "graph load failed: " + loaded.status().ToString());
-      }
-      full = std::move(loaded->graph);
-    } else {
-      auto parsed = ParsePlantedSpec(spec.gen_planted, spec.seed);
-      if (!parsed.ok()) {
-        return Fail(transport.get(),
-                    "bad planted spec: " + parsed.status().ToString());
-      }
-      auto generated = GenPlantedCommunities(parsed.value());
-      if (!generated.ok()) {
-        return Fail(transport.get(),
-                    "graph generation failed: " +
-                        generated.status().ToString());
-      }
-      full = std::move(generated).value();
-    }
-    table = std::make_unique<VertexTable>(full, transport->world_size(),
-                                          rank);
-    std::fprintf(stderr,
-                 "qcm_worker rank %d/%d epoch %u: %u vertices total, "
-                 "%zu owned%s\n",
-                 rank, transport->world_size(), transport->epoch(),
-                 table->NumVertices(),
-                 table->OwnedVertices(rank).size(),
-                 transport->epoch() > 0
-                     ? " (replacement; replaying checkpoint)"
-                     : "");
+  // Graph load: mmap the launcher-packed .qcsr snapshot (metadata
+  // checksums verified, adjacency pages faulted lazily) -- startup never
+  // materializes the full graph in this process.
+  if (spec.config.graph_snapshot.empty()) {
+    return Fail(transport.get(),
+                "job spec names no graph_snapshot (qcm_cluster packs the "
+                "graph or passes --snapshot; workers never rebuild it)");
   }
+  WallTimer graph_timer;
+  auto snap = CsrSnapshot::Open(spec.config.graph_snapshot);
+  if (!snap.ok()) {
+    return Fail(transport.get(),
+                "snapshot open failed: " + snap.status().ToString());
+  }
+  auto table = std::make_unique<VertexTable>(
+      std::move(snap).value(), transport->world_size(), rank,
+      static_cast<uint64_t>(spec.config.graph_memory_budget));
+  const PagedAdjacencyStore* store = table->paged_store();
+  std::fprintf(
+      stderr,
+      "qcm_worker rank %d/%d epoch %u: snapshot %s, %u vertices "
+      "total, %zu owned, mapped %s vs resident %s%s%s\n",
+      rank, transport->world_size(), transport->epoch(),
+      spec.config.graph_snapshot.c_str(), table->NumVertices(),
+      table->OwnedVertices(rank).size(),
+      HumanBytes(table->snapshot()->MappedBytes()).c_str(),
+      HumanBytes(CurrentRssBytes()).c_str(),
+      store != nullptr && store->paging_enabled()
+          ? (", adjacency budget " + HumanBytes(store->budget_bytes()))
+                .c_str()
+          : "",
+      transport->epoch() > 0 ? " (replacement; replaying checkpoint)" : "");
   std::fprintf(stderr, "qcm_worker rank %d: graph ready in %.3f s\n", rank,
                graph_timer.Seconds());
 
@@ -248,17 +172,6 @@ int main(int argc, char** argv) {
     if (!ts.ok()) {
       std::fprintf(stderr, "qcm_worker rank %d: trace fragment failed: %s\n",
                    rank, ts.ToString().c_str());
-    }
-  }
-
-  if (!stats_json.empty()) {
-    const std::string json = EngineReportJson(report.value());
-    if (FILE* f = std::fopen(stats_json.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "qcm_worker: cannot write %s\n",
-                   stats_json.c_str());
     }
   }
 

@@ -6,132 +6,24 @@
 // table plus a JSON array, instead of the fixed grids baked into the
 // individual benches.
 //
-// Usage:
-//   tau_sweep [--dataset NAME] [--tau-max F] [--tau-min F]
-//             [--per-decade N] [--machines N] [--threads N]
-//             [--net-latency SEC] [--net-latency-ticks N]
-//             [--cache-policy lru|clock] [--json PATH]
-//
-//   --dataset NAME     bench registry name ("Hyves-like", "GSE1730-like",
-//                      or the paper's names)         (default Hyves-like)
-//   --tau-max F        largest tau_time of the sweep  (default 0.5)
-//   --tau-min F        smallest tau_time              (default 0.005)
-//   --per-decade N     sample points per decade       (default 2)
-//   --json PATH        write the JSON series here ("-" = stdout);
-//                      QCM_BENCH_JSON is honored as a fallback
+// `tau_sweep --help` lists every flag with its default. --json also
+// falls back to the QCM_BENCH_JSON environment variable.
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/datasets.h"
 #include "mining/parallel_miner.h"
+#include "util/flags.h"
 
 namespace {
 
 using namespace qcm;
 using namespace qcm::bench;
-
-struct Args {
-  std::string dataset = "Hyves-like";
-  double tau_max = 0.5;
-  double tau_min = 0.005;
-  int per_decade = 2;
-  int machines = 0;  // 0 = ClusterPreset default
-  int threads = 0;
-  double net_latency_sec = 0.0;
-  uint64_t net_latency_ticks = 0;
-  std::string cache_policy = "lru";
-  std::string json_path;
-};
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: tau_sweep [--dataset NAME] [--tau-max F] [--tau-min F]\n"
-      "                 [--per-decade N] [--machines N] [--threads N]\n"
-      "                 [--net-latency SEC] [--net-latency-ticks N]\n"
-      "                 [--cache-policy lru|clock] [--json PATH]\n");
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (a == "--dataset") {
-      if ((v = next("--dataset")) == nullptr) return false;
-      args->dataset = v;
-    } else if (a == "--tau-max") {
-      if ((v = next("--tau-max")) == nullptr) return false;
-      args->tau_max = std::atof(v);
-    } else if (a == "--tau-min") {
-      if ((v = next("--tau-min")) == nullptr) return false;
-      args->tau_min = std::atof(v);
-    } else if (a == "--per-decade") {
-      if ((v = next("--per-decade")) == nullptr) return false;
-      args->per_decade = std::atoi(v);
-    } else if (a == "--machines") {
-      if ((v = next("--machines")) == nullptr) return false;
-      args->machines = std::atoi(v);
-    } else if (a == "--threads") {
-      if ((v = next("--threads")) == nullptr) return false;
-      args->threads = std::atoi(v);
-    } else if (a == "--net-latency") {
-      if ((v = next("--net-latency")) == nullptr) return false;
-      args->net_latency_sec = std::atof(v);
-      if (args->net_latency_sec < 0) {
-        std::fprintf(stderr, "--net-latency must be >= 0\n");
-        return false;
-      }
-    } else if (a == "--net-latency-ticks") {
-      if ((v = next("--net-latency-ticks")) == nullptr) return false;
-      const long long ticks = std::atoll(v);
-      if (ticks < 0) {
-        std::fprintf(stderr, "--net-latency-ticks must be >= 0\n");
-        return false;
-      }
-      args->net_latency_ticks = static_cast<uint64_t>(ticks);
-    } else if (a == "--cache-policy") {
-      if ((v = next("--cache-policy")) == nullptr) return false;
-      args->cache_policy = v;
-    } else if (a == "--json") {
-      if ((v = next("--json")) == nullptr) return false;
-      args->json_path = v;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (args->tau_max <= 0 || args->tau_min <= 0 ||
-      args->tau_min > args->tau_max) {
-    std::fprintf(stderr, "need 0 < --tau-min <= --tau-max\n");
-    return false;
-  }
-  if (args->per_decade < 1) {
-    std::fprintf(stderr, "--per-decade must be >= 1\n");
-    return false;
-  }
-  if (args->cache_policy != "lru" && args->cache_policy != "clock") {
-    std::fprintf(stderr, "unknown --cache-policy %s\n",
-                 args->cache_policy.c_str());
-    return false;
-  }
-  return true;
-}
 
 /// Decade grid from tau_max down to (at least) tau_min, `per_decade`
 /// logarithmically spaced samples per decade.
@@ -151,16 +43,44 @@ std::vector<double> TauGrid(double tau_max, double tau_min,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 2;
+  std::string dataset = "Hyves-like";
+  double tau_max = 0.5;
+  double tau_min = 0.005;
+  int per_decade = 2;
+  std::string json_path;
+  EngineConfig base = ClusterPreset();
+  FlagSet flags("tau_sweep [flags]");
+  flags.String("--dataset", &dataset, "NAME",
+               "bench registry name (\"Hyves-like\", \"GSE1730-like\", or "
+               "the paper's names)");
+  flags.Double("--tau-max", &tau_max, "largest tau_time of the sweep");
+  flags.Double("--tau-min", &tau_min, "smallest tau_time of the sweep");
+  flags.Int("--per-decade", &per_decade, "sample points per decade");
+  flags.Int("--machines", &base.num_machines, "simulated machines");
+  flags.Int("--threads", &base.threads_per_machine,
+            "mining threads per machine");
+  flags.Double("--net-latency", &base.net_latency_sec,
+               "modeled delivery delay in seconds");
+  flags.Int("--net-latency-ticks", &base.net_latency_ticks,
+            "delivery delay in destination service ticks");
+  flags.Enum("--cache-policy", &base.cache_policy,
+             {{"lru", CachePolicy::kLRU}, {"clock", CachePolicy::kClock}},
+             "vertex-cache eviction policy");
+  flags.String("--json", &json_path, "PATH",
+               "write the JSON series here (\"-\" = stdout)");
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
+  if (tau_max <= 0 || tau_min <= 0 || tau_min > tau_max) {
+    return flags.UsageError("need 0 < --tau-min <= --tau-max");
+  }
+  if (per_decade < 1) return flags.UsageError("--per-decade must be >= 1");
+  if (Status valid = base.Validate(); !valid.ok()) {
+    return flags.UsageError("invalid configuration: " + valid.ToString());
   }
 
-  const DatasetSpec* spec = FindDataset(args.dataset);
+  const DatasetSpec* spec = FindDataset(dataset);
   if (spec == nullptr) {
     std::fprintf(stderr, "unknown dataset %s; known:\n",
-                 args.dataset.c_str());
+                 dataset.c_str());
     for (const DatasetSpec& d : AllDatasets()) {
       std::fprintf(stderr, "  %s (%s)\n", d.name.c_str(),
                    d.paper_name.c_str());
@@ -176,9 +96,9 @@ int main(int argc, char** argv) {
   }
 
   std::vector<double> taus =
-      TauGrid(args.tau_max, args.tau_min, args.per_decade);
+      TauGrid(tau_max, tau_min, per_decade);
   if (QuickMode()) {
-    taus = TauGrid(args.tau_max, args.tau_min, 1);
+    taus = TauGrid(tau_max, tau_min, 1);
   }
 
   Table table({"tau_time", "Job Time", "Mining Time", "Materialize Time",
@@ -187,16 +107,10 @@ int main(int argc, char** argv) {
   std::string json = "[\n";
   bool first = true;
   for (double tau : taus) {
-    EngineConfig config = ClusterPreset();
+    EngineConfig config = base;
     config.mining = spec->Mining();
     config.tau_split = spec->tau_split;
     config.tau_time = tau;
-    if (args.machines > 0) config.num_machines = args.machines;
-    if (args.threads > 0) config.threads_per_machine = args.threads;
-    config.net_latency_sec = args.net_latency_sec;
-    config.net_latency_ticks = args.net_latency_ticks;
-    config.cache_policy = args.cache_policy == "clock" ? CachePolicy::kClock
-                                                       : CachePolicy::kLRU;
     ParallelMiner miner(config);
     auto result = miner.Run(*graph);
     if (!result.ok()) {
@@ -241,7 +155,6 @@ int main(int argc, char** argv) {
   table.Print();
   json += "\n]\n";
 
-  std::string json_path = args.json_path;
   if (json_path.empty()) {
     const char* env = std::getenv("QCM_BENCH_JSON");
     if (env != nullptr) json_path = env;
