@@ -38,6 +38,20 @@ const char* CachePolicyName(CachePolicy policy) {
   Status::InvalidArgument(std::string("engine_config.cc:") +          \
                           std::to_string(__LINE__) + ": " + (msg))
 
+Status ParseCachePolicy(const std::string& name, CachePolicy* policy) {
+  if (name == "lru") {
+    *policy = CachePolicy::kLRU;
+  } else if (name == "clock") {
+    *policy = CachePolicy::kClock;
+  } else if (name == "tinylfu") {
+    *policy = CachePolicy::kTinyLFU;
+  } else {
+    return QCM_CONFIG_ERROR("unknown cache policy: \"" + name +
+                            "\" (expected lru | clock | tinylfu)");
+  }
+  return Status::OK();
+}
+
 Status EngineConfig::Validate() const {
   if (num_machines < 1) {
     return QCM_CONFIG_ERROR("num_machines must be >= 1");
@@ -163,10 +177,26 @@ Status EngineConfig::Validate() const {
 
 #undef QCM_CONFIG_ERROR
 
-void RegisterEngineFlags(FlagSet* flags, EngineConfig* config) {
-  MiningOptions& mining = config->mining;
+void RegisterMachineCountFlag(FlagSet* flags, EngineConfig* config) {
+  flags->Int("--machines", &config->num_machines, "simulated machines");
+}
+
+void RegisterPerMachineFlags(FlagSet* flags, EngineConfig* config) {
   flags->Int("--threads", &config->threads_per_machine,
              "mining threads per machine");
+  flags->Parsed("--cache-policy", &config->cache_policy, "lru|clock|tinylfu",
+                CachePolicyName(config->cache_policy), ParseCachePolicy,
+                "vertex-cache eviction policy");
+  flags->Double("--net-latency", &config->net_latency_sec,
+                "modeled delivery delay in seconds of every "
+                "cross-machine message");
+  flags->Int("--net-latency-ticks", &config->net_latency_ticks,
+             "delivery delay in destination service ticks");
+}
+
+void RegisterEngineFlags(FlagSet* flags, EngineConfig* config) {
+  MiningOptions& mining = config->mining;
+  RegisterPerMachineFlags(flags, config);
   flags->Double("--gamma", &mining.gamma,
                 "degree threshold gamma, in [0.5, 1]");
   flags->Int("--min-size", &mining.min_size,
@@ -186,20 +216,8 @@ void RegisterEngineFlags(FlagSet* flags, EngineConfig* config) {
               "task decomposition strategy");
   flags->Int("--cache-capacity", &config->vertex_cache_capacity,
              "per-machine vertex-cache entries; 0 disables caching");
-  std::vector<std::pair<std::string, CachePolicy>> policies;
-  for (CachePolicy p :
-       {CachePolicy::kLRU, CachePolicy::kClock, CachePolicy::kTinyLFU}) {
-    policies.emplace_back(CachePolicyName(p), p);
-  }
-  flags->Enum("--cache-policy", &config->cache_policy, std::move(policies),
-              "vertex-cache eviction policy");
   flags->Int("--pull-batch", &config->max_pull_batch,
              "max vertex ids per batched pull");
-  flags->Double("--net-latency", &config->net_latency_sec,
-                "modeled delivery delay in seconds of every "
-                "cross-machine message");
-  flags->Int("--net-latency-ticks", &config->net_latency_ticks,
-             "delivery delay in destination service ticks");
   flags->Bool("--prefetch", &config->spawn_prefetch,
               "spawn-time pull prefetch: spawned tasks request their 1-hop "
               "frontier before first schedule (results are bit-identical)");

@@ -46,8 +46,10 @@ enum class CachePolicy {
   kTinyLFU,
 };
 
-/// "lru" / "clock" / "tinylfu": also the --cache-policy vocabulary.
 const char* CachePolicyName(CachePolicy policy);
+
+/// Parses "lru" / "clock" / "tinylfu" (the --cache-policy vocabulary).
+Status ParseCachePolicy(const std::string& name, CachePolicy* policy);
 
 /// Engine knobs. Defaults follow the paper's common settings scaled to a
 /// single-host simulation.
@@ -204,10 +206,22 @@ class Encoder;
 class Decoder;
 class FlagSet;
 
-/// Binds the engine and mining flags qcm_mine and qcm_cluster share
-/// (--threads, --gamma, --min-size, --mode, ...) to `config`'s fields.
-/// --help prints each field's value at registration as the flag's
-/// default; range and contradiction checks stay in Validate().
+/// Flag registration: each engine flag is declared once, here, and bound
+/// to `config`'s field. --help prints each field's value at registration
+/// as the flag's default; range and contradiction checks stay in
+/// Validate().
+///
+/// --machines, the simulated machine count (qcm_mine, tau_sweep; the
+/// machines of qcm_cluster are its --workers processes).
+void RegisterMachineCountFlag(FlagSet* flags, EngineConfig* config);
+
+/// --threads, --cache-policy, --net-latency and --net-latency-ticks: the
+/// per-machine shape and the link between machines.
+void RegisterPerMachineFlags(FlagSet* flags, EngineConfig* config);
+
+/// RegisterPerMachineFlags plus the mining, decomposition, caching,
+/// prefetch, stealing and tracing flags qcm_mine and qcm_cluster share
+/// (--gamma, --min-size, --mode, ...).
 void RegisterEngineFlags(FlagSet* flags, EngineConfig* config);
 
 /// Binds the process-per-machine knobs only qcm_cluster exposes: send

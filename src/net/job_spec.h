@@ -2,7 +2,7 @@
 // distributed mining job, shipped as the opaque config blob of the rank-
 // assignment handshake (wire.h kAssign). The graph itself is NOT shipped:
 // workers mmap the .qcsr snapshot named by config.graph_snapshot, which
-// the launcher packed from the source recorded here.
+// the launcher packed (or was handed with --snapshot).
 
 #ifndef QCM_NET_JOB_SPEC_H_
 #define QCM_NET_JOB_SPEC_H_
@@ -15,18 +15,14 @@
 namespace qcm {
 
 struct ClusterJobSpec {
-  /// The graph source the snapshot was packed from (GraphSource contract:
-  /// exactly one of input / gen_planted is non-empty).
-  std::string input;        // SNAP edge-list path
-  std::string gen_planted;  // planted-community generator spec
-  uint64_t seed = 1;        // generator seed (ignored for --input)
-
   /// Full engine configuration; num_machines must equal the cluster's
-  /// world size.
+  /// world size, and graph_snapshot must name the packed graph.
   EngineConfig config;
 };
 
 std::string EncodeJobSpec(const ClusterJobSpec& spec);
+/// Rejects a spec whose config names no graph_snapshot: workers never
+/// rebuild the graph themselves.
 Status DecodeJobSpec(const std::string& blob, ClusterJobSpec* spec);
 
 }  // namespace qcm

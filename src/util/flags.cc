@@ -37,6 +37,20 @@ void FlagSet::Add(const std::string& name, std::string metavar,
                   std::string help, std::string default_text,
                   std::string expected,
                   std::function<bool(const std::string&)> set) {
+  AddParsed(name, std::move(metavar), std::move(help),
+            std::move(default_text),
+            [expected = std::move(expected),
+             set = std::move(set)](const std::string& v) {
+              return set(v) ? Status::OK()
+                            : Status::InvalidArgument(
+                                  "invalid value \"" + v + "\" (expected " +
+                                  expected + ")");
+            });
+}
+
+void FlagSet::AddParsed(const std::string& name, std::string metavar,
+                        std::string help, std::string default_text,
+                        std::function<Status(const std::string&)> set) {
   for (const Flag& f : flags_) {
     if (f.name == name) {
       std::fprintf(stderr, "FlagSet: %s registered twice\n", name.c_str());
@@ -44,8 +58,7 @@ void FlagSet::Add(const std::string& name, std::string metavar,
     }
   }
   flags_.push_back({name, std::move(metavar), std::move(help),
-                    std::move(default_text), std::move(expected),
-                    std::move(set)});
+                    std::move(default_text), std::move(set)});
 }
 
 void FlagSet::Double(const std::string& name, double* target,
@@ -105,10 +118,8 @@ Status FlagSet::Parse(int argc, const char* const* argv) {
                                      flag->metavar + ")");
     }
     const std::string value = argv[++i];
-    if (!flag->set(value)) {
-      return Status::InvalidArgument(flag->name + ": invalid value \"" +
-                                     value + "\" (expected " +
-                                     flag->expected + ")");
+    if (Status s = flag->set(value); !s.ok()) {
+      return Status::InvalidArgument(flag->name + ": " + s.message());
     }
   }
   return Status::OK();

@@ -94,6 +94,21 @@ class FlagSet {
         });
   }
 
+  /// A field with its own parser -- e.g. a config module's vocabulary
+  /// parser, so the names it accepts are declared once, next to the type.
+  /// `parse` leaves *target untouched on error; its message is reported
+  /// after the flag name.
+  template <typename T>
+  void Parsed(const std::string& name, T* target, const std::string& metavar,
+              const std::string& default_text,
+              Status (*parse)(const std::string&, T*),
+              const std::string& help) {
+    AddParsed(name, metavar, help, default_text,
+              [target, parse](const std::string& v) {
+                return parse(v, target);
+              });
+  }
+
   /// Parses argv[1..argc). "--help" / "-h" stops parsing and sets
   /// help_requested(). Errors are InvalidArgument naming the flag.
   Status Parse(int argc, const char* const* argv);
@@ -118,13 +133,17 @@ class FlagSet {
     std::string metavar;  // empty for bool flags
     std::string help;
     std::string default_text;
-    std::string expected;
-    std::function<bool(const std::string&)> set;
+    std::function<Status(const std::string&)> set;
   };
 
+  /// Registers a flag whose `set` returns false on a malformed value; the
+  /// error then names `expected`.
   void Add(const std::string& name, std::string metavar, std::string help,
            std::string default_text, std::string expected,
            std::function<bool(const std::string&)> set);
+  void AddParsed(const std::string& name, std::string metavar,
+                 std::string help, std::string default_text,
+                 std::function<Status(const std::string&)> set);
 
   std::string usage_;
   std::vector<Flag> flags_;

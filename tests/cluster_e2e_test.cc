@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -126,9 +127,10 @@ TEST(ClusterE2ETest, BudgetedSnapshotClusterBitIdenticalUnderEviction) {
       kMiningFlags + " --machines 3 --threads 2");
   ASSERT_EQ(single.exit_code, 0) << single.output;
 
+  // The snapshot alone names the graph: no --input / --gen-planted.
   const RunResult cluster = RunCommand(
-      BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
-      kMiningFlags + " --workers 3 --threads 2 --snapshot " + snap_path +
+      BinDir() + "/qcm_cluster " + kMiningFlags +
+      " --workers 3 --threads 2 --snapshot " + snap_path +
       " --graph-page-size 4096 --graph-memory-budget 8192 --log-dir " +
       log_dir + " --stats-json " + json_path);
   ASSERT_EQ(cluster.exit_code, 0) << cluster.output;
@@ -215,6 +217,28 @@ TEST(ClusterE2ETest, MalformedFlagValuesExitTwoNamingTheFlag) {
     EXPECT_NE(run.output.find(c.flag), std::string::npos)
         << c.tool << " " << c.bad << "\n" << run.output;
     EXPECT_EQ(Digest(run.output), "") << run.output;
+  }
+}
+
+// A config Validate() rejects fails before any side effect: no log dir is
+// created and nothing is packed.
+TEST(ClusterE2ETest, InvalidConfigIsRejectedBeforeThePack) {
+  const std::string log_dir = ::testing::TempDir() + "/qcm_invalid_logs";
+  const char* const cases[] = {
+      "--workers 0",
+      "--checkpoint-interval 0",
+      "--net-coalesce-bytes 1400",  // without --net-linger-usec
+  };
+  for (const char* bad : cases) {
+    const RunResult run = RunCommand(
+        BinDir() + "/qcm_cluster --gen-planted " + kGraphSpec + " " +
+        kMiningFlags + " --threads 2 --log-dir " + log_dir + " " + bad);
+    EXPECT_EQ(run.exit_code, 2) << bad << "\n" << run.output;
+    EXPECT_NE(run.output.find("invalid configuration"), std::string::npos)
+        << bad << "\n" << run.output;
+    EXPECT_EQ(run.output.find("packed"), std::string::npos)
+        << bad << "\n" << run.output;
+    EXPECT_NE(::access(log_dir.c_str(), F_OK), 0) << bad;
   }
 }
 

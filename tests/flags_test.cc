@@ -223,8 +223,13 @@ TEST(FlagsTest, UnknownCachePolicyIsRejectedNotDefaulted) {
   RegisterEngineFlags(&flags, &config);
   const Status s = ParseArgs(&flags, {"--cache-policy", "mru"});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("mru"), std::string::npos) << s.message();
-  EXPECT_NE(s.message().find("lru|clock|tinylfu"), std::string::npos)
+  // The flag reports ParseCachePolicy's error: its location and the one
+  // vocabulary, declared next to CachePolicy.
+  EXPECT_NE(s.message().find("--cache-policy: engine_config.cc:"),
+            std::string::npos)
+      << s.message();
+  EXPECT_NE(s.message().find("\"mru\" (expected lru | clock | tinylfu)"),
+            std::string::npos)
       << s.message();
   EXPECT_EQ(config.cache_policy, CachePolicy::kClock);
 }

@@ -409,8 +409,6 @@ TEST(WireFrameTest, StatsSampleRoundTrip) {
 
 TEST(JobSpecTest, RoundTripPreservesEveryField) {
   ClusterJobSpec spec;
-  spec.gen_planted = "n=100,communities=2";
-  spec.seed = 77;
   spec.config.num_machines = 3;
   spec.config.threads_per_machine = 4;
   spec.config.tau_split = 55;
@@ -451,9 +449,6 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
 
   ClusterJobSpec out;
   ASSERT_TRUE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
-  EXPECT_EQ(out.gen_planted, spec.gen_planted);
-  EXPECT_EQ(out.input, "");
-  EXPECT_EQ(out.seed, 77u);
   EXPECT_EQ(out.config.num_machines, 3);
   EXPECT_EQ(out.config.threads_per_machine, 4);
   EXPECT_EQ(out.config.tau_split, 55u);
@@ -493,10 +488,13 @@ TEST(JobSpecTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(out.config.graph_memory_budget, 1 << 20);
 }
 
-TEST(JobSpecTest, RejectsAmbiguousGraphSource) {
-  ClusterJobSpec spec;  // neither input nor gen_planted
+TEST(JobSpecTest, RejectsSpecWithoutGraphSnapshot) {
+  ClusterJobSpec spec;  // config.graph_snapshot left empty
   ClusterJobSpec out;
-  EXPECT_FALSE(DecodeJobSpec(EncodeJobSpec(spec), &out).ok());
+  const Status s = DecodeJobSpec(EncodeJobSpec(spec), &out);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("graph_snapshot"), std::string::npos)
+      << s.message();
 }
 
 TEST(EngineReportSerdeTest, RoundTripAndMerge) {

@@ -11,12 +11,14 @@
 // when a worker is killed mid-run and recovered from its checkpoint.
 //
 // Usage (`qcm_cluster --help` lists every flag with its default):
-//   qcm_cluster (--input PATH | --gen-planted SPEC) --workers N [flags]
+//   qcm_cluster (--input PATH | --gen-planted SPEC | --snapshot PATH.qcsr)
+//               --workers N [flags]
 //
 // Graph distribution: the launcher packs the input into a .qcsr snapshot
 // ONCE (<log-dir>/graph.qcsr) and ships only the path; workers mmap it
 // and fault in just their partition's pages, so no rank ever
-// materializes the full graph. --snapshot reuses a qcm_pack output, and
+// materializes the full graph. --snapshot reuses a qcm_pack output (no
+// graph source needed then; a given one is not read), and
 // --graph-memory-budget caps each rank's resident adjacency bytes
 // (evicted pages refault on demand -- out-of-core mining).
 //
@@ -145,7 +147,8 @@ int main(int argc, char** argv) {
   LogLevel log_level = GetLogLevel();
 
   FlagSet flags(
-      "qcm_cluster (--input PATH | --gen-planted SPEC) --workers N [flags]");
+      "qcm_cluster (--input PATH | --gen-planted SPEC | --snapshot "
+      "PATH.qcsr) --workers N [flags]");
   RegisterGraphSourceFlags(&flags, &source);
   flags.Int("--workers", &config.num_machines,
             "worker processes (one machine each), at most 64");
@@ -175,9 +178,9 @@ int main(int argc, char** argv) {
   flags.Enum("--log-level", &log_level, LogLevelNames(),
              "launcher log threshold; workers inherit QCM_LOG_LEVEL");
   if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
-  if (!source.HasExactlyOne()) {
+  if (snapshot.empty() && !source.HasExactlyOne()) {
     return flags.UsageError(
-        "exactly one of --input / --gen-planted is required");
+        "exactly one of --input / --gen-planted is required (or --snapshot)");
   }
   if (config.num_machines > 64) {
     return flags.UsageError("--workers must be at most 64");
@@ -185,10 +188,19 @@ int main(int argc, char** argv) {
   if (max_rank_restarts < 0) {
     return flags.UsageError("--max-rank-restarts must be >= 0");
   }
+  // Validate before any side effect (temp dirs, the pack). The launcher
+  // always fills in graph_snapshot and checkpoint_dir below, so the copy
+  // checked here carries stand-ins for the two; only their being set
+  // matters to Validate().
+  {
+    EngineConfig planned = config;
+    planned.graph_snapshot = snapshot.empty() ? "graph.qcsr" : snapshot;
+    if (planned.checkpoint_dir.empty()) planned.checkpoint_dir = "ckpt";
+    if (Status valid = planned.Validate(); !valid.ok()) {
+      return flags.UsageError("invalid configuration: " + valid.ToString());
+    }
+  }
   SetLogLevel(log_level);
-  spec.input = source.input;
-  spec.gen_planted = source.gen_planted;
-  spec.seed = source.seed;
   const int num_workers = config.num_machines;
 
   if (worker_bin.empty()) worker_bin = DefaultWorkerBin();
@@ -197,7 +209,8 @@ int main(int argc, char** argv) {
                  worker_bin.c_str());
     return 2;
   }
-  if (log_dir.empty()) {
+  const bool owns_log_dir = log_dir.empty();
+  if (owns_log_dir) {
     char templ[] = "/tmp/qcm_cluster_XXXXXX";
     char* dir = ::mkdtemp(templ);
     if (dir == nullptr) {
@@ -212,11 +225,20 @@ int main(int argc, char** argv) {
   // Pack the graph ONCE in the launcher and ship only the snapshot path:
   // workers mmap <log-dir>/graph.qcsr instead of each re-parsing /
   // regenerating and transiently materializing the full graph.
-  // --snapshot reuses a pre-packed file.
+  // --snapshot reuses a pre-packed file. A launcher-owned temp log dir
+  // keeps the worker logs for post-mortems but not the packed graph,
+  // which is unlinked on every exit from here on.
+  struct UnlinkOnExit {
+    std::string path;
+    ~UnlinkOnExit() {
+      if (!path.empty()) ::unlink(path.c_str());
+    }
+  } temp_snapshot;
   if (!snapshot.empty()) {
     config.graph_snapshot = snapshot;
   } else {
     config.graph_snapshot = log_dir + "/graph.qcsr";
+    if (owns_log_dir) temp_snapshot.path = config.graph_snapshot;
     auto packed =
         PackGraphSource(source, config.graph_snapshot,
                         static_cast<uint32_t>(config.graph_page_size));
@@ -235,8 +257,8 @@ int main(int argc, char** argv) {
   // Early, launcher-side sanity check (metadata checksums only) so a bad
   // --snapshot path fails before N workers are forked. The file's actual
   // page size wins over the flag: a pre-packed --snapshot may have been
-  // built with a different --page-size, and the budget validation below
-  // must check against what the workers will map.
+  // built with a different --page-size, so the memory budget is checked
+  // again against what the workers will map.
   {
     auto snap = CsrSnapshot::Open(config.graph_snapshot);
     if (!snap.ok()) {
@@ -245,6 +267,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     config.graph_page_size = (*snap)->page_size();
+    if (Status valid = config.Validate(); !valid.ok()) {
+      return flags.UsageError("invalid configuration: " + valid.ToString());
+    }
   }
 
   // Checkpoint root shared by every rank (each keeps rank<R>/log under
@@ -263,17 +288,6 @@ int main(int argc, char** argv) {
     ::mkdir(config.checkpoint_dir.c_str(), 0755);
   }
   const std::string ckpt_dir = config.checkpoint_dir;
-  // Surface contradictory settings with the validator's file:line message
-  // instead of shipping them to every worker first. Runs once the pack
-  // step and the checkpoint root have filled in graph_snapshot and
-  // checkpoint_dir, so the checks that pair them with their knobs fire.
-  if (Status valid = config.Validate(); !valid.ok()) {
-    if (owns_ckpt_dir) {
-      std::error_code ec;
-      std::filesystem::remove_all(ckpt_dir, ec);
-    }
-    return flags.UsageError("invalid configuration: " + valid.ToString());
-  }
 
   // Launcher-side tracing must be live before the coordinator runs so
   // recovery spans (rank_declared_dead, recover_*) land in a ring. The

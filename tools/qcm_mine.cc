@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                "qcm_pack .qcsr snapshot (checksummed binary CSR; loads "
                "without text parsing)");
   flags.Bool("--serial", &serial, "single-thread reference miner");
-  flags.Int("--machines", &config.num_machines, "simulated machines");
+  RegisterMachineCountFlag(&flags, &config);
   RegisterEngineFlags(&flags, &config);
   flags.String("--output", &output, "PATH",
                "write one result per line (\"v1 v2 ...\"), sets sorted "

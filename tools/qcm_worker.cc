@@ -112,11 +112,6 @@ int main(int argc, char** argv) {
   // Graph load: mmap the launcher-packed .qcsr snapshot (metadata
   // checksums verified, adjacency pages faulted lazily) -- startup never
   // materializes the full graph in this process.
-  if (spec.config.graph_snapshot.empty()) {
-    return Fail(transport.get(),
-                "job spec names no graph_snapshot (qcm_cluster packs the "
-                "graph or passes --snapshot; workers never rebuild it)");
-  }
   WallTimer graph_timer;
   auto snap = CsrSnapshot::Open(spec.config.graph_snapshot);
   if (!snap.ok()) {

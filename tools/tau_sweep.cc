@@ -56,16 +56,8 @@ int main(int argc, char** argv) {
   flags.Double("--tau-max", &tau_max, "largest tau_time of the sweep");
   flags.Double("--tau-min", &tau_min, "smallest tau_time of the sweep");
   flags.Int("--per-decade", &per_decade, "sample points per decade");
-  flags.Int("--machines", &base.num_machines, "simulated machines");
-  flags.Int("--threads", &base.threads_per_machine,
-            "mining threads per machine");
-  flags.Double("--net-latency", &base.net_latency_sec,
-               "modeled delivery delay in seconds");
-  flags.Int("--net-latency-ticks", &base.net_latency_ticks,
-            "delivery delay in destination service ticks");
-  flags.Enum("--cache-policy", &base.cache_policy,
-             {{"lru", CachePolicy::kLRU}, {"clock", CachePolicy::kClock}},
-             "vertex-cache eviction policy");
+  RegisterMachineCountFlag(&flags, &base);
+  RegisterPerMachineFlags(&flags, &base);
   flags.String("--json", &json_path, "PATH",
                "write the JSON series here (\"-\" = stdout)");
   if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
